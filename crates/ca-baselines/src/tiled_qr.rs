@@ -13,8 +13,8 @@ use ca_kernels::{larfb_left, trsm_left_upper_notrans, Trans};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    build_shadow_registry, run_graph, try_run_graph_checked, AccessMap, BlockTracker,
-    CheckedError, Job, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    build_shadow_registry, AccessMap, BlockTracker, CheckedError, Exec, Job, KernelClass,
+    TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::OnceLock;
 
@@ -308,52 +308,47 @@ fn exec(ctx: &Ctx, a: &SharedMatrix, t: TiledQrTask) {
 
 /// Tiled QR of a tall or square matrix with tile size `b`, on `threads`
 /// workers.
+///
+/// # Panics
+/// If a task fails; the message names the failed task.
 pub fn tiled_qr(a: Matrix, b: usize, threads: usize) -> TiledQr {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert!(b > 0 && threads > 0);
-    let (graph, ctx, _access) = build(m, n, b);
-    let shared = SharedMatrix::new(a);
-    let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
-        let ctx = &ctx;
-        let shared = &shared;
-        ca_sched::job(move || exec(ctx, shared, spec))
-    });
-    run_graph(jobs, threads);
-
-    TiledQr {
-        a: shared.into_inner(),
-        b,
-        t_diag: ctx.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
-        t_ts: ctx
-            .t_ts
-            .into_iter()
-            .map(|v| v.into_iter().map(|t| t.into_inner().expect("T missing")).collect())
-            .collect(),
-    }
+    factor(a, b, threads, false).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`tiled_qr`] with the full verification stack: element-rect static
 /// soundness proof up front, then execution under a shadow registry with
 /// sub-tile leases auditing every access.
 pub fn try_tiled_qr_checked(a: Matrix, b: usize, threads: usize) -> Result<TiledQr, CheckedError> {
+    factor(a, b, threads, true)
+}
+
+/// Builds and runs the tiled graph. `checked` first proves it sound at
+/// rect granularity, then audits every access through a shadow registry.
+fn factor(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledQr, CheckedError> {
     let m = a.nrows();
     let n = a.ncols();
     assert!(b > 0 && threads > 0);
     let (graph, ctx, access) = build(m, n, b);
-    let opts = ca_sched::VerifyOptions {
-        granularity: ca_sched::Granularity::Rect,
-        ..Default::default()
+    let registry = if checked {
+        let opts = ca_sched::VerifyOptions {
+            granularity: ca_sched::Granularity::Rect,
+            lint_edges: false,
+        };
+        ca_sched::verify_graph_with(&graph, &access, &opts).map_err(CheckedError::Soundness)?;
+        Some(build_shadow_registry(&graph, &access, b, m, n))
+    } else {
+        None
     };
-    ca_sched::verify_graph_with(&graph, &access, &opts).map_err(CheckedError::Soundness)?;
-    let registry = build_shadow_registry(&graph, &access, b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
+    let shared = match &registry {
+        Some(r) => SharedMatrix::with_shadow(a, r.clone()),
+        None => SharedMatrix::new(a),
+    };
     let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
         let ctx = &ctx;
         let shared = &shared;
         ca_sched::job(move || exec(ctx, shared, spec))
     });
-    try_run_graph_checked(jobs, threads, &registry)?;
+    ca_sched::run(jobs, &Exec { shadow: registry.as_ref(), ..Exec::new(threads) }).result?;
 
     Ok(TiledQr {
         a: shared.into_inner(),

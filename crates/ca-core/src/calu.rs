@@ -8,6 +8,7 @@
 use crate::dag_calu;
 use crate::error::{find_non_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
+use crate::runner::{Mode, Recovery};
 use crate::tslu::factor_panel_limited;
 use ca_kernels::{gemm, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans};
 use ca_matrix::{lu_residual, Matrix, PivotSeq, Scalar};
@@ -187,14 +188,20 @@ pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T
 
 /// Multithreaded CALU (Algorithm 1): builds the task dependency graph and
 /// executes it on `p.threads` workers with the lookahead-of-1 priority rule.
+///
+/// # Panics
+/// If a task fails; the message names the failed task.
 pub fn calu(a: Matrix, p: &CaParams) -> LuFactors {
-    dag_calu::run(a, p).0
+    calu_with_stats(a, p).0
 }
 
 /// Like [`calu`], also returning the executor's wall-clock timeline
 /// (usable with [`ca_sched::ascii_gantt`] for real execution traces).
 pub fn calu_with_stats(a: Matrix, p: &CaParams) -> (LuFactors, ca_sched::ExecStats) {
-    dag_calu::run(a, p)
+    match dag_calu::run(a, p, &Mode::default()) {
+        Ok((f, stats, _)) => (f, stats),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// TSLU as a standalone factorization of a tall-and-skinny matrix: a single
@@ -232,6 +239,21 @@ fn check_factors<T: Scalar>(f: LuFactors<T>, p: &CaParams) -> Result<LuFactors<T
     Ok(f)
 }
 
+/// The `try_*` contract around one DAG run: NaN/Inf prescan, growth
+/// monitoring, and the breakdown/growth epilogue.
+fn try_dag(
+    a: Matrix,
+    p: &CaParams,
+    mode: &Mode<'_>,
+) -> Result<(LuFactors, ca_sched::ExecStats, Option<ca_sched::Profile>), FactorError> {
+    if let Some((row, col)) = find_non_finite(&a) {
+        return Err(FactorError::NonFiniteInput { row, col });
+    }
+    let params = monitored(p);
+    let (f, stats, profile) = dag_calu::run(a, &params, mode)?;
+    Ok((check_factors(f, &params)?, stats, profile))
+}
+
 /// Fallible multithreaded CALU: pre-scans the input for NaN/Inf, monitors
 /// per-panel element growth (falling back to plain GEPP on tournament
 /// instability), and reports exact singularity and worker-task failure as
@@ -245,7 +267,7 @@ pub fn try_calu_with_stats(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    try_calu_with_faults(a, p, &ca_sched::FaultPlan::new())
+    try_dag(a, p, &Mode::default()).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_calu_with_stats`] executed under a [`ca_sched::FaultPlan`] — the
@@ -255,12 +277,8 @@ pub fn try_calu_with_faults(
     p: &CaParams,
     faults: &ca_sched::FaultPlan,
 ) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run(a, &params, faults)?;
-    check_factors(f, &params).map(|f| (f, stats))
+    let mode = Mode { faults: Some(faults), ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_calu_with_stats`] on the recovering executor: every task body is
@@ -278,12 +296,8 @@ pub fn try_calu_recovering(
     chaos: &ca_sched::ChaosPlan,
     counters: &ca_sched::RecoveryCounters,
 ) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_recovering(a, &params, policy, chaos, counters)?;
-    check_factors(f, &params).map(|f| (f, stats))
+    let mode = Mode { recovery: Some(Recovery { policy, chaos, counters }), ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_calu_recovering`] in checked execution mode: the retry wrapper's
@@ -296,12 +310,9 @@ pub fn try_calu_recovering_checked(
     chaos: &ca_sched::ChaosPlan,
     counters: &ca_sched::RecoveryCounters,
 ) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_recovering_checked(a, &params, policy, chaos, counters)?;
-    check_factors(f, &params).map(|f| (f, stats))
+    let recovery = Some(Recovery { policy, chaos, counters });
+    let mode = Mode { recovery, checked: true, ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_calu`] in checked execution mode: the task graph is first proven
@@ -315,12 +326,7 @@ pub fn try_calu_checked(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_checked(a, &params)?;
-    check_factors(f, &params).map(|f| (f, stats))
+    try_dag(a, p, &Mode { checked: true, ..Mode::default() }).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_calu`] on the profiled executor: same numerical contract (NaN/Inf
@@ -334,12 +340,8 @@ pub fn try_calu_profiled(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(LuFactors, ca_sched::Profile), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, profile) = dag_calu::profile_run(a, &params, &ca_sched::FaultPlan::new())?;
-    check_factors(f, &params).map(|f| (f, profile))
+    let (f, _, profile) = try_dag(a, p, &Mode { profile: true, ..Mode::default() })?;
+    Ok((f, profile.expect("profiled run records a profile")))
 }
 
 /// Fallible sequential CALU with the same contract as [`try_calu`],

@@ -9,6 +9,7 @@
 use crate::dag_caqr;
 use crate::error::{find_non_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
+use crate::runner::{Mode, Recovery};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, panel_apply, plan_panel, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
 use ca_matrix::{Matrix, Scalar, SharedMatrix};
@@ -147,13 +148,19 @@ pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
 
 /// Multithreaded CAQR (Algorithm 2): task-graph execution with the
 /// lookahead-of-1 priority rule on `p.threads` workers.
+///
+/// # Panics
+/// If a task fails; the message names the failed task.
 pub fn caqr(a: Matrix, p: &CaParams) -> QrFactors {
-    dag_caqr::run(a, p).0
+    caqr_with_stats(a, p).0
 }
 
 /// Like [`caqr`], also returning the executor's wall-clock timeline.
 pub fn caqr_with_stats(a: Matrix, p: &CaParams) -> (QrFactors, ca_sched::ExecStats) {
-    dag_caqr::run(a, p)
+    match dag_caqr::run(a, p, &Mode::default()) {
+        Ok((f, stats, _)) => (f, stats),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// TSQR as a standalone tall-and-skinny factorization: a single panel of
@@ -164,12 +171,25 @@ pub fn tsqr_factor<T: Kernel>(a: Matrix<T>, tr: usize, p: &CaParams) -> QrFactor
     caqr_seq(a, &params)
 }
 
+/// The `try_*` contract around one DAG run: the NaN/Inf prescan. QR needs
+/// no growth monitoring — orthogonal transforms cannot blow up.
+fn try_dag(
+    a: Matrix,
+    p: &CaParams,
+    mode: &Mode<'_>,
+) -> Result<(QrFactors, ca_sched::ExecStats, Option<ca_sched::Profile>), FactorError> {
+    if let Some((row, col)) = find_non_finite(&a) {
+        return Err(FactorError::NonFiniteInput { row, col });
+    }
+    Ok(dag_caqr::run(a, p, mode)?)
+}
+
 /// Fallible multithreaded CAQR: pre-scans the input for NaN/Inf (which
 /// would silently poison the Householder reflectors) and reports worker
 /// failure as [`FactorError::TaskFailed`] instead of panicking. QR needs no
 /// pivot-breakdown handling — orthogonal transforms cannot blow up.
 pub fn try_caqr(a: Matrix, p: &CaParams) -> Result<QrFactors, FactorError> {
-    try_caqr_with_faults(a, p, &ca_sched::FaultPlan::new()).map(|(f, _)| f)
+    try_dag(a, p, &Mode::default()).map(|(f, _, _)| f)
 }
 
 /// [`try_caqr`] executed under a [`ca_sched::FaultPlan`] (the deterministic
@@ -179,10 +199,8 @@ pub fn try_caqr_with_faults(
     p: &CaParams,
     faults: &ca_sched::FaultPlan,
 ) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run(a, p, faults)
+    let mode = Mode { faults: Some(faults), ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_caqr_with_faults`] on the recovering executor: every task body is
@@ -198,10 +216,8 @@ pub fn try_caqr_recovering(
     chaos: &ca_sched::ChaosPlan,
     counters: &ca_sched::RecoveryCounters,
 ) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_recovering(a, p, policy, chaos, counters)
+    let mode = Mode { recovery: Some(Recovery { policy, chaos, counters }), ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_caqr_recovering`] in checked execution mode: the retry wrapper's
@@ -214,10 +230,9 @@ pub fn try_caqr_recovering_checked(
     chaos: &ca_sched::ChaosPlan,
     counters: &ca_sched::RecoveryCounters,
 ) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_recovering_checked(a, p, policy, chaos, counters)
+    let recovery = Some(Recovery { policy, chaos, counters });
+    let mode = Mode { recovery, checked: true, ..Mode::default() };
+    try_dag(a, p, &mode).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_caqr`] in checked execution mode: the task graph is first proven
@@ -231,10 +246,7 @@ pub fn try_caqr_checked(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_checked(a, p)
+    try_dag(a, p, &Mode { checked: true, ..Mode::default() }).map(|(f, stats, _)| (f, stats))
 }
 
 /// [`try_caqr`] on the profiled executor: same input prescan, but returns
@@ -244,10 +256,8 @@ pub fn try_caqr_profiled(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(QrFactors, ca_sched::Profile), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::profile_run(a, p, &ca_sched::FaultPlan::new())
+    let (f, _, profile) = try_dag(a, p, &Mode { profile: true, ..Mode::default() })?;
+    Ok((f, profile.expect("profiled run records a profile")))
 }
 
 /// Fallible sequential CAQR with the input pre-scan of [`try_caqr`],

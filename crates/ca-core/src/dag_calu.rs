@@ -18,7 +18,6 @@
 //! Priorities implement the lookahead-of-1 rule from §III.
 
 use crate::calu::{LuFactors, LuStats};
-use crate::error::FactorError;
 use ca_sched::{row_blocks, AccessMap, BlockTracker, CheckedError, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
 use crate::tournament::{select, stack_candidates, Selected};
@@ -30,7 +29,8 @@ use ca_kernels::{
     trsm_right_upper_notrans, Trans,
 };
 use ca_matrix::{AlignedBuf, Matrix, PivotSeq, SharedMatrix};
-use ca_sched::{run_graph, ExecStats, Job, KernelClass, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
+use crate::runner::{self, DagPlan, Mode};
+use ca_sched::{ExecStats, KernelClass, Profile, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// What a CALU task does (payload of the task graph).
@@ -632,224 +632,38 @@ fn local_seq(p: &PivotSeq, k0: usize) -> PivotSeq {
     PivotSeq { offset: p.offset - k0, ipiv: p.ipiv.iter().map(|&x| x - k0).collect() }
 }
 
-/// Runs multithreaded CALU, consuming `a`. Returns factors plus executor
-/// statistics (timeline usable for trace figures).
-pub(crate) fn run(a: Matrix, p: &CaParams) -> (LuFactors, ExecStats) {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
+impl DagPlan for CaluPlan {
+    type Task = CaluTask;
 
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let stats = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => ca_sched::run_graph_stealing(jobs, p.threads),
-    };
-    (collect_factors(&plan, shared), stats)
-}
+    fn graph(&self) -> &TaskGraph<CaluTask> {
+        &self.graph
+    }
 
-/// Fallible variant of [`run`]: executes on the failure-aware pool (under
-/// the given fault plan), mapping a worker failure to
-/// [`FactorError::TaskFailed`] without ever touching the panels'
-/// not-yet-filled result slots.
-pub(crate) fn try_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
+    fn access(&self) -> &AccessMap {
+        &self.access
+    }
 
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_with_faults(jobs, p.threads, faults)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_with_faults(jobs, p.threads, faults)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
+    fn block(&self) -> usize {
+        self.b
+    }
+
+    fn exec(&self, a: &SharedMatrix, t: CaluTask) {
+        CaluPlan::exec(self, a, t)
     }
 }
 
-/// Checked-mode variant of [`try_run`]: statically verifies the graph +
-/// declared footprints, then executes under the dynamic race detector (a
-/// shadow lease registry auditing every `SharedMatrix` block access). Any
-/// violation maps to [`FactorError::Soundness`].
-pub(crate) fn try_run_checked(
+/// Runs multithreaded CALU in `mode`, consuming `a`. Returns the factors
+/// plus the executor's statistics (timeline usable for trace figures) and,
+/// in profile mode, its profile. A task failure is returned before the
+/// panels' not-yet-filled result slots are touched.
+pub(crate) fn run(
     a: Matrix,
     p: &CaParams,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => Err(FactorError::Soundness { violation }),
-        Err(CheckedError::Exec(e)) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Recovering variant of [`try_run`]: every task body is wrapped by
-/// [`ca_sched::retrying_job`], which snapshots the task's declared
-/// write-set (resolved from the plan's [`AccessMap`]) before each attempt
-/// and, on failure or panic, restores it and replays under `policy`.
-/// Successors are cancelled only once retries are exhausted. `chaos`
-/// injects seeded failures/panics/delays/corruption for testing; pass
-/// [`ca_sched::ChaosPlan::quiet`] for production runs.
-pub(crate) fn try_run_recovering(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => ca_sched::try_run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing(jobs, p.threads)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Checked-mode variant of [`try_run_recovering`]: the retry wrapper runs
-/// under the shadow lease registry, so snapshot capture and write-set
-/// restore are themselves audited against the declared footprints.
-pub(crate) fn try_run_recovering_checked(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => Err(FactorError::Soundness { violation }),
-        Err(CheckedError::Exec(e)) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Profiling variant of [`try_run`]: executes on the profiled pool matching
-/// `p.scheduler` and returns the factors together with the full
-/// [`ca_sched::Profile`] (lifecycle records, roofline attribution inputs,
-/// queue/steal counters). A task failure maps to
-/// [`FactorError::TaskFailed`] like [`try_run`].
-pub(crate) fn profile_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(LuFactors, ca_sched::Profile), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let (profile, failure) = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::profile_run_graph(jobs, p.threads, faults)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::profile_run_graph_stealing(jobs, p.threads, faults)
-        }
-    };
-    match failure {
-        None => Ok((collect_factors(&plan, shared), profile)),
-        Some(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
+    mode: &Mode<'_>,
+) -> Result<(LuFactors, ExecStats, Option<Profile>), CheckedError> {
+    let plan = build(a.nrows(), a.ncols(), p);
+    let ran = runner::run(&plan, a, p, mode)?;
+    Ok((collect_factors(&plan, ran.shared), ran.stats, ran.profile))
 }
 
 /// Gathers the per-panel results once every task completed successfully.
@@ -1042,7 +856,8 @@ mod tests {
         // footprint and no two live leases may race.
         let a0 = ca_matrix::random_uniform(160, 160, &mut seeded_rng(33));
         let p = CaParams::new(16, 2, 3).with_par_update_rows(32);
-        let (f, _) = try_run_checked(a0.clone(), &p).expect("checked run");
+        let mode = Mode { checked: true, ..Mode::default() };
+        let (f, _, _) = run(a0.clone(), &p, &mode).expect("checked run");
         let fs = calu_seq_factor(a0, &p);
         assert_eq!(f.lu.as_slice(), fs.lu.as_slice());
     }

@@ -119,6 +119,19 @@ impl fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
+impl From<ca_sched::CheckedError> for FactorError {
+    /// A failed executor task becomes [`FactorError::TaskFailed`]; a
+    /// verifier or race-detector finding becomes [`FactorError::Soundness`].
+    fn from(e: ca_sched::CheckedError) -> Self {
+        match e {
+            ca_sched::CheckedError::Exec(e) => {
+                Self::TaskFailed { label: e.label.to_string(), message: e.to_string() }
+            }
+            ca_sched::CheckedError::Soundness(violation) => Self::Soundness { violation },
+        }
+    }
+}
+
 /// Position `(row, col)` of the first non-finite entry, scanning in
 /// column-major order, or `None` when every entry is finite.
 pub(crate) fn find_non_finite<T: ca_matrix::Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {

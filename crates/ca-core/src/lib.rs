@@ -37,6 +37,7 @@ mod dag_calu;
 mod dag_caqr;
 mod error;
 mod probe;
+mod runner;
 pub mod jobs;
 pub mod solve;
 pub mod params;

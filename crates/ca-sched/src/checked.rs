@@ -1,4 +1,4 @@
-//! Checked execution mode: every executor, wrapped by the race detector.
+//! Checked execution mode: the executor, wrapped by the race detector.
 //!
 //! A checked run composes three layers:
 //!
@@ -7,7 +7,7 @@
 //! 2. [`build_shadow_registry`] converts the block-level [`AccessMap`] into
 //!    element-level [`TaskFootprint`]s and attaches them to a
 //!    [`ShadowRegistry`];
-//! 3. the `*_checked` executors run each job inside a
+//! 3. [`crate::run`] with [`crate::Exec::shadow`] set runs each job inside a
 //!    [`ShadowRegistry::enter_task`] scope, so every `SharedMatrix` block
 //!    accessor audits its element range against the task's declaration and
 //!    against every concurrently live lease.
@@ -16,10 +16,10 @@
 //! twin ([`try_simulate_checked`]) is the static verification plus the
 //! ordinary simulation.
 
+use crate::exec::Job;
 use crate::fault::{ExecError, FaultPlan};
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
-use crate::pool::{ExecStats, Job};
 use crate::task::{TaskId, TaskMeta};
 use crate::trace::Timeline;
 use crate::verify::SoundnessError;
@@ -27,8 +27,9 @@ use ca_matrix::{ShadowRegistry, ShadowViolation, TaskFootprint};
 use ca_matrix::ElemRect;
 use std::sync::Arc;
 
-/// Failure of a checked run: either the run itself failed (panic/injected
-/// fault) or the race detector found a soundness violation.
+/// Failure of a [`crate::run`]: either a task failed (returned `Err`,
+/// panicked or had a fault injected) or the race detector found a
+/// soundness violation.
 #[derive(Debug)]
 pub enum CheckedError {
     /// The underlying execution failed.
@@ -89,7 +90,7 @@ pub fn build_shadow_registry<T>(
 }
 
 /// Wraps each job so it runs inside a shadow task scope.
-fn instrument<'s>(graph: TaskGraph<Job<'s>>, registry: &Arc<ShadowRegistry>) -> TaskGraph<Job<'s>> {
+pub(crate) fn instrument<'s>(graph: TaskGraph<Job<'s>>, registry: &Arc<ShadowRegistry>) -> TaskGraph<Job<'s>> {
     graph.map(|id, job| {
         let reg = Arc::clone(registry);
         Box::new(move || {
@@ -100,7 +101,7 @@ fn instrument<'s>(graph: TaskGraph<Job<'s>>, registry: &Arc<ShadowRegistry>) -> 
 }
 
 /// Maps the first recorded shadow violation (if any) to a soundness error.
-fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
+pub(crate) fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
     registry.take_violations().into_iter().next().map(|v| match v {
         ShadowViolation::Undeclared { label, write, rect, .. } => SoundnessError::UndeclaredAccess {
             task: label,
@@ -124,48 +125,6 @@ fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
             }
         }
     })
-}
-
-/// [`crate::try_run_graph`] under the dynamic race detector. The
-/// `SharedMatrix` the jobs touch must have been built with
-/// `SharedMatrix::with_shadow(_, registry)` so its accessors report here.
-pub fn try_run_graph_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> Result<ExecStats, CheckedError> {
-    let stats =
-        crate::pool::try_run_graph(instrument(graph, registry), nthreads).map_err(CheckedError::Exec)?;
-    match first_violation(registry) {
-        None => Ok(stats),
-        Some(v) => Err(CheckedError::Soundness(v)),
-    }
-}
-
-/// Panicking variant of [`try_run_graph_checked`].
-pub fn run_graph_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> ExecStats {
-    match try_run_graph_checked(graph, nthreads, registry) {
-        Ok(stats) => stats,
-        Err(e) => panic!("checked execution failed: {e}"),
-    }
-}
-
-/// [`crate::try_run_graph_stealing`] under the dynamic race detector.
-pub fn try_run_graph_stealing_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> Result<ExecStats, CheckedError> {
-    let stats = crate::pool_ws::try_run_graph_stealing(instrument(graph, registry), nthreads)
-        .map_err(CheckedError::Exec)?;
-    match first_violation(registry) {
-        None => Ok(stats),
-        Some(v) => Err(CheckedError::Soundness(v)),
-    }
 }
 
 /// Checked twin of [`crate::try_simulate`]: the simulator executes no matrix
@@ -204,7 +163,7 @@ pub fn try_simulate_checked<T>(
 mod tests {
     use super::*;
     use crate::blockdeps::BlockTracker;
-    use crate::pool::job;
+    use crate::exec::{job, run, Exec};
     use crate::task::{TaskKind, TaskLabel};
     use ca_matrix::{Matrix, SharedMatrix};
     use std::sync::Barrier;
@@ -238,8 +197,9 @@ mod tests {
                 assert_eq!(v.at(0, 0) + v.at(4, 0), 3.0);
             }),
         });
-        let stats = try_run_graph_checked(jobs, 2, &reg).expect("sound run");
-        assert_eq!(stats.tasks, 3);
+        let report = run(jobs, &Exec { shadow: Some(&reg), ..Exec::new(2) });
+        report.result.expect("sound run");
+        assert_eq!(report.stats.tasks, 3);
         assert!(reg.accesses() >= 3);
     }
 
@@ -257,7 +217,7 @@ mod tests {
         let jobs = g.map_ref(|_, _| {
             job(move || unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) }) // writes rows 4..8
         });
-        match try_run_graph_checked(jobs, 1, &reg) {
+        match run(jobs, &Exec { shadow: Some(&reg), ..Exec::new(1) }).result {
             Err(CheckedError::Soundness(SoundnessError::UndeclaredAccess {
                 task, write, rows, ..
             })) => {
@@ -294,7 +254,7 @@ mod tests {
                 v.fill(1.0);
             })
         });
-        match try_run_graph_checked(jobs, 2, &reg) {
+        match run(jobs, &Exec { shadow: Some(&reg), ..Exec::new(2) }).result {
             Err(CheckedError::Soundness(SoundnessError::Race { first, second, .. })) => {
                 let labels = [first, second];
                 assert!(labels.contains(&"P[0,0,0]".to_string()), "labels: {labels:?}");

@@ -9,8 +9,11 @@
 //! [`FaultPlan`] is the deterministic fault-injection harness used by the
 //! stress tests: it fails, panics, or delays the N-th task matching a label
 //! predicate, so scheduler failure paths can be exercised reproducibly
-//! without bespoke panicking jobs.
+//! without bespoke panicking jobs. [`crate::Exec::faults`] applies it as a
+//! job decorator, so the worker loop never consults it.
 
+use crate::exec::Job;
+use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskLabel};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -188,6 +191,31 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
+}
+
+/// Decorates every job with `plan`'s decision, taken as the job starts:
+/// [`FaultAction::Fail`] replaces the body with an `"injected fault"`
+/// failure, [`FaultAction::Panic`] with an `"injected panic"` panic, and
+/// [`FaultAction::Delay`] sleeps before the body, inside the task's span.
+pub(crate) fn inject<'s>(graph: TaskGraph<Job<'s>>, plan: &'s FaultPlan) -> TaskGraph<Job<'s>> {
+    let TaskGraph { metas, payloads, succs, npreds } = graph;
+    let payloads = payloads
+        .into_iter()
+        .zip(&metas)
+        .map(|(job, meta)| {
+            let label = meta.label;
+            Box::new(move || match plan.decide(&label) {
+                Some(FaultAction::Fail) => Err(TaskFailure::new("injected fault")),
+                Some(FaultAction::Panic) => panic!("injected panic"),
+                Some(FaultAction::Delay(d)) => {
+                    std::thread::sleep(d);
+                    job()
+                }
+                None => job(),
+            }) as Job<'s>
+        })
+        .collect();
+    TaskGraph { metas, payloads, succs, npreds }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The task dependency graph.
 //!
 //! Built by the DAG builders in `ca-core`/`ca-baselines`, executed either by
-//! the threaded worker pool ([`crate::run_graph`]) or by the deterministic
+//! the threaded executor ([`crate::run`]) or by the deterministic
 //! multicore simulator ([`crate::simulate`]).
 
 use crate::task::{TaskId, TaskMeta};
@@ -154,7 +154,7 @@ impl<T> TaskGraph<T> {
     /// Maps payloads through `f`, preserving topology, metadata and ids.
     ///
     /// This is how one DAG serves both executors: build with descriptive
-    /// payloads, `map` them into closures for [`crate::run_graph`], or pass
+    /// payloads, `map` them into closures for [`crate::run`], or pass
     /// the original graph to [`crate::simulate`] (which ignores payloads).
     pub fn map<U>(self, mut f: impl FnMut(TaskId, T) -> U) -> TaskGraph<U> {
         let payloads = self

@@ -4,29 +4,42 @@
 //! substrate of multithreaded CALU/CAQR (Donfack, Grigori & Gupta, IPDPS
 //! 2010, §III "Task scheduling").
 //!
-//! Two executors share one [`TaskGraph`] representation:
+//! A [`TaskGraph`] of [`Job`]s runs on real threads through one entry
+//! point, [`run`], configured by an [`Exec`]:
 //!
-//! * [`run_graph`] — a real worker pool: a shared priority queue of ready
-//!   tasks, drained by `nthreads` OS threads. Priorities encode the paper's
-//!   lookahead-of-1 rule (panel tasks and the update of block column `K+1`
-//!   outrank other updates).
-//! * [`simulate`] — a deterministic list-scheduling discrete-event simulator
-//!   with `P` virtual cores and a pluggable cost model. This is the
-//!   hardware-substitution layer that stands in for the paper's 8-core Xeon
-//!   and 16-core Opteron machines (see DESIGN.md §2).
+//! * [`Exec::workers`] — the number of OS threads (lane 0 is the caller).
+//! * [`Exec::policy`] — the ready set the workers drain:
+//!   [`Policy::Priority`], a shared priority queue whose priorities encode
+//!   the paper's lookahead-of-1 rule (panel tasks and the update of block
+//!   column `K+1` outrank other updates), or [`Policy::Stealing`],
+//!   Cilk-style per-worker deques with no global priorities.
+//! * [`Exec::profile`] — record the full task lifecycle into a [`Profile`].
+//! * [`Exec::faults`] — inject failures, panics or delays from a
+//!   [`FaultPlan`].
+//! * [`Exec::shadow`] — audit every `SharedMatrix` access against the
+//!   declared footprints through a [`ca_matrix::ShadowRegistry`].
 //!
+//! [`run`] returns an [`ExecReport`]: the [`ExecStats`] (task count, wall
+//! time, [`Timeline`]), the optional [`Profile`], and the run's result.
+//!
+//! [`simulate`] is the second, deterministic executor: a list-scheduling
+//! discrete-event simulator with `P` virtual cores and a pluggable cost
+//! model. It is the hardware-substitution layer that stands in for the
+//! paper's 8-core Xeon and 16-core Opteron machines (see DESIGN.md §2).
 //! Both produce a [`Timeline`] renderable as an ASCII Gantt chart
 //! ([`ascii_gantt`]) in the style of the paper's Figures 2–4.
+//! [`MultiFrontier`] runs many graphs at once on one long-lived pool for
+//! the serving layer.
 //!
 //! ## Failure semantics
 //!
 //! Jobs return [`TaskResult`]; panics are caught and converted into
 //! failures. A failed task never releases its successors — the executors
 //! cancel its **transitive successors**, drain every independent task, and
-//! the `try_*` entry points ([`try_run_graph`], [`try_run_graph_stealing`],
-//! [`try_simulate`]) report the first failure as an [`ExecError`] naming
-//! the failed task, its label, its worker lane, and the cancelled set.
-//! [`FaultPlan`] injects failures deterministically for testing.
+//! report the first failure as an [`ExecError`] naming the failed task, its
+//! label, its worker lane, and the cancelled set ([`ExecReport::result`],
+//! [`try_simulate`]). [`ExecReport::unwrap`] turns a failure into a panic
+//! carrying that message.
 //!
 //! ## Recovery
 //!
@@ -40,37 +53,34 @@
 //!
 //! ## Profiling
 //!
-//! Every executor has a `profile_*` twin ([`profile_run_graph`],
-//! [`profile_run_graph_stealing`], [`profile_simulate`]) that records the
+//! A profiled run ([`Exec::profile`], [`profile_simulate`]) records the
 //! full task lifecycle (ready → dispatch → start → end, steal counters,
 //! queue-depth samples) into a [`Profile`]. [`Profile::metrics`] derives
 //! dispatch-latency distributions, per-[`KernelClass`] achieved GFlop/s
 //! (roofline attribution), critical-path scheduling efficiency, and the
 //! lookahead-effectiveness metric; [`Profile::chrome_trace`] emits a Chrome
 //! trace with DAG flow events and counter tracks.
-
+//!
 //! ## Verification
 //!
 //! The builders' block declarations are retained in an [`AccessMap`]
 //! ([`BlockTracker::into_access_map`]); [`verify_graph`] statically proves
-//! every conflicting block pair is ordered by a happens-before path, and
-//! the `*_checked` executors ([`try_run_graph_checked`],
-//! [`try_run_graph_stealing_checked`], [`try_simulate_checked`]) audit the
-//! actual element accesses at run time through a
-//! [`ca_matrix::ShadowRegistry`].
+//! every conflicting block pair is ordered by a happens-before path.
+//! Checked execution — [`run`] with [`Exec::shadow`] set, or
+//! [`try_simulate_checked`] — audits the actual element accesses at run
+//! time through a [`ca_matrix::ShadowRegistry`] built by
+//! [`build_shadow_registry`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod blockdeps;
 mod checked;
+mod exec;
 mod fault;
 mod footprint;
 mod graph;
 mod multigraph;
-mod persist;
-mod pool;
-mod pool_ws;
 mod profile;
 mod retry;
 mod sim;
@@ -80,10 +90,8 @@ mod trace;
 mod verify;
 
 pub use blockdeps::{row_blocks, BlockTracker};
-pub use checked::{
-    build_shadow_registry, run_graph_checked, try_run_graph_checked,
-    try_run_graph_stealing_checked, try_simulate_checked, CheckedError,
-};
+pub use checked::{build_shadow_registry, try_simulate_checked, CheckedError};
+pub use exec::{job, run, Exec, ExecReport, ExecStats, Job, Policy};
 pub use footprint::{AccessMap, BlockRegion};
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
@@ -95,15 +103,6 @@ pub use graph::TaskGraph;
 pub use multigraph::{
     dyn_job, CancelReason, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
     MultiFrontier,
-};
-pub use persist::persistent_pool_threads;
-pub use pool::{
-    job, profile_run_graph, run_graph, run_graph_persistent, run_graph_scoped,
-    try_run_graph, try_run_graph_persistent, try_run_graph_with_faults, ExecStats, Job,
-};
-pub use pool_ws::{
-    profile_run_graph_stealing, run_graph_stealing, try_run_graph_stealing,
-    try_run_graph_stealing_persistent, try_run_graph_stealing_with_faults,
 };
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,

@@ -1,10 +1,10 @@
 //! Multi-graph frontier: one persistent worker pool executing many task
 //! graphs ("jobs") concurrently.
 //!
-//! The one-shot executors ([`crate::run_graph`], [`crate::run_graph_stealing`])
-//! run exactly one DAG to quiescence. A serving workload instead has many
-//! DAGs in flight at once; the paper's dynamic-scheduling insight — tasks
-//! from *different panel steps* interleave on a shared pool via priorities —
+//! The one-shot executor ([`crate::run`]) runs exactly one DAG to
+//! quiescence. A serving workload instead has many DAGs in flight at
+//! once; the paper's dynamic-scheduling insight — tasks from *different
+//! panel steps* interleave on a shared pool via priorities —
 //! generalizes directly to tasks from *different requests*:
 //!
 //! * **Within a job** the paper's lookahead priorities are preserved: each
@@ -28,7 +28,7 @@
 
 use crate::fault::{ExecError, TaskResult};
 use crate::graph::TaskGraph;
-use crate::pool::panic_message;
+use crate::exec::panic_message;
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
 use crate::trace::{Span, Timeline};

@@ -21,8 +21,8 @@
 //!   process/thread-name metadata, flow events for DAG edges, and a
 //!   ready-queue counter track.
 //!
-//! Profiles come from [`crate::profile_run_graph`],
-//! [`crate::profile_run_graph_stealing`], and [`crate::profile_simulate`];
+//! Profiles come from [`crate::run`] with [`crate::Exec::profile`] set (either
+//! policy) and from [`crate::profile_simulate`];
 //! the simulator path is fully deterministic, so tests can assert exact
 //! metric values.
 

@@ -32,7 +32,7 @@
 use crate::fault::{TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
 use crate::multigraph::DynJob;
-use crate::pool::Job;
+use crate::exec::Job;
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::{MatView, SharedMatrix};
 use std::collections::HashMap;
@@ -771,7 +771,7 @@ fn guarded(f: impl FnOnce()) -> TaskResult {
     IN_GUARDED.with(|g| g.set(was));
     match r {
         Ok(()) => Ok(()),
-        Err(payload) => Err(TaskFailure::new(crate::pool::panic_message(&payload))),
+        Err(payload) => Err(TaskFailure::new(crate::exec::panic_message(&payload))),
     }
 }
 

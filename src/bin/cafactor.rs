@@ -243,6 +243,15 @@ fn parse_tree(s: &str) -> TreeShape {
     }
 }
 
+/// Parses a count that must be at least 1 (`--b`, `--tr`, `--threads`);
+/// anything else is a usage error.
+fn positive(s: &str) -> usize {
+    match s.parse() {
+        Ok(v) if v > 0 => v,
+        _ => usage(),
+    }
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::default();
     let mut it = args.iter();
@@ -257,9 +266,9 @@ fn parse_opts(args: &[String]) -> Opts {
                 let n = next().parse().unwrap_or_else(|_| usage());
                 o.random = Some((m, n));
             }
-            "--b" => o.b = next().parse().unwrap_or_else(|_| usage()),
-            "--tr" => o.tr = next().parse().unwrap_or_else(|_| usage()),
-            "--threads" => o.threads = next().parse().unwrap_or_else(|_| usage()),
+            "--b" => o.b = positive(&next()),
+            "--tr" => o.tr = positive(&next()),
+            "--threads" => o.threads = positive(&next()),
             "--tree" => o.tree = parse_tree(&next()),
             "--seed" => o.seed = next().parse().unwrap_or_else(|_| usage()),
             "--precision" => {
@@ -746,7 +755,7 @@ fn cmd_serve(o: &Opts) {
         BatchConfig, ChaosConfig, RetryConfig, ServeError, Service, ServiceConfig,
         SubmitOptions, TelemetryConfig,
     };
-    let mut cfg = ServiceConfig::new(o.threads.max(1))
+    let mut cfg = ServiceConfig::new(o.threads)
         .with_capacity(o.capacity)
         .with_admission(o.policy);
     if o.metrics.is_some() || o.flight_recorder.is_some() {

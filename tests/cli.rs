@@ -132,6 +132,24 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn zero_block_size_tree_width_or_threads_is_a_usage_error() {
+    // A zero count is rejected while parsing (exit 2, usage text), before
+    // any parameter object is built.
+    for args in [
+        &["factor", "lu", "--random", "64", "64", "--threads", "0"][..],
+        &["factor", "qr", "--random", "64", "64", "--b", "0"],
+        &["factor", "lu", "--random", "64", "64", "--tr", "0"],
+        &["serve", "--jobs", "1", "--threads", "0"],
+    ] {
+        let out = cafactor().args(args).output().expect("run cafactor");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: cafactor"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn serve_chaos_drill_survives_and_reports_recovery() {
     // A seeded chaos drill through the CLI: every job must complete (exit
     // 0) and the recovery counter lines must appear in the report.

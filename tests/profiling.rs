@@ -3,10 +3,22 @@
 //! Chrome-trace structure, and the `try_calu_profiled` library surface.
 
 use ca_factor::sched::{
-    job, profile_run_graph, profile_run_graph_stealing, profile_simulate, FaultPlan, Job,
-    Profile, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    job, profile_simulate, run, CheckedError, Exec, ExecError, FaultPlan, Job, Policy, Profile,
+    TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Runs `g` with profiling on; returns the profile (kept even when a task
+/// fails) and the task failure, if any.
+fn profiled<'s>(g: TaskGraph<Job<'s>>, exec: Exec<'s>) -> (Profile, Option<ExecError>) {
+    let report = run(g, &Exec { profile: true, ..exec });
+    let err = match report.result {
+        Ok(()) => None,
+        Err(CheckedError::Exec(e)) => Some(e),
+        Err(e) => panic!("unexpected soundness finding: {e}"),
+    };
+    (report.profile.expect("profiling enabled"), err)
+}
 
 /// A layered DAG of `layers * width` trivially-quick jobs that counts
 /// executions into `counter`.
@@ -55,7 +67,7 @@ fn profiled_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profile_run_graph(g, threads, &FaultPlan::new());
+        let (profile, err) = profiled(g, Exec::new(threads));
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "priority-queue");
@@ -72,7 +84,7 @@ fn profiled_stealing_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profile_run_graph_stealing(g, threads, &FaultPlan::new());
+        let (profile, err) = profiled(g, Exec { policy: Policy::Stealing, ..Exec::new(threads) });
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "work-stealing");
@@ -101,7 +113,7 @@ fn cancelled_tasks_never_appear_as_records() {
         g.add_dep(pair[0], pair[1]);
     }
     let plan = FaultPlan::new().fail_nth(1, move |l| l.step == fail_at);
-    let (profile, err) = profile_run_graph(g, 2, &plan);
+    let (profile, err) = profiled(g, Exec { faults: Some(&plan), ..Exec::new(2) });
     let err = err.expect("injected failure must surface");
     assert_eq!(err.task, ids[fail_at]);
     assert_eq!(profile.cancelled, ids[fail_at + 1..].to_vec());
@@ -219,7 +231,7 @@ fn recovery_marked_trace_validates_and_carries_marks() {
     use ca_factor::sched::chrome_trace_json_with_marks;
     let counter = AtomicUsize::new(0);
     let g = layered_jobs(4, 3, &counter);
-    let (profile, err) = profile_run_graph(g, 2, &FaultPlan::new());
+    let (profile, err) = profiled(g, Exec::new(2));
     assert!(err.is_none());
     let tl = profile.timeline();
     tl.check().expect("clean timeline");

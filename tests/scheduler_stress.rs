@@ -4,13 +4,21 @@
 //! fault-injection runs exercising the failure/cancellation paths.
 
 use ca_factor::sched::{
-    job, run_graph, simulate_uniform, try_run_graph, try_run_graph_stealing_with_faults,
-    try_run_graph_with_faults, FaultPlan, Job, TaskFailure, TaskGraph, TaskKind, TaskLabel,
-    TaskMeta,
+    job, run, simulate_uniform, CheckedError, Exec, ExecError, ExecReport, FaultPlan, Job,
+    Policy, TaskFailure, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The task failure a run must have reported.
+#[track_caller]
+fn expect_failure(report: ExecReport, msg: &str) -> ExecError {
+    match report.result {
+        Err(CheckedError::Exec(e)) => e,
+        other => panic!("{msg}: {other:?}"),
+    }
+}
 
 /// Builds a random layered DAG; returns (graph of ids, adjacency list).
 fn random_dag(seed: u64, layers: usize, width: usize, edge_prob: f64) -> TaskGraph<usize> {
@@ -66,7 +74,7 @@ fn random_dags_execute_in_dependency_order() {
                 stamps[id].store(t, Ordering::SeqCst);
             })
         });
-        let stats = run_graph(jobs, 4);
+        let stats = run(jobs, &Exec::new(4)).unwrap();
         assert_eq!(stats.tasks, n);
         for (a, b) in edges {
             let ta = stamps[a].load(Ordering::SeqCst);
@@ -86,7 +94,7 @@ fn pool_and_simulator_run_the_same_task_set() {
         let executed = &executed;
         job(move || executed.lock().unwrap().push(id))
     });
-    run_graph(jobs, 3);
+    run(jobs, &Exec::new(3)).unwrap();
     let mut ran = executed.into_inner().unwrap();
     ran.sort_unstable();
     assert_eq!(ran, (0..n).collect::<Vec<_>>());
@@ -124,7 +132,7 @@ fn wide_fanout_with_many_threads() {
     for m in mids {
         g.add_dep(m, sink);
     }
-    let stats = run_graph(g, 16);
+    let stats = run(g, &Exec::new(16)).unwrap();
     assert_eq!(total.load(Ordering::Relaxed), 502);
     stats.timeline.validate();
 }
@@ -152,8 +160,8 @@ fn injected_panics_never_hang_and_cancel_successors() {
                 g.add_dep(pair[0], pair[1]);
             }
             let plan = FaultPlan::new().panic_nth(1, move |l| l.step == pos);
-            let err = try_run_graph_with_faults(g, threads, &plan)
-                .expect_err("injected panic must surface as ExecError");
+            let exec = Exec { faults: Some(&plan), ..Exec::new(threads) };
+            let err = expect_failure(run(g, &exec), "injected panic must surface as ExecError");
             assert_eq!(err.task, ids[pos]);
             assert_eq!(err.label.step, pos);
             assert!(err.panicked);
@@ -201,7 +209,7 @@ fn random_dag_failure_cancels_exact_transitive_closure() {
                 })
             }
         });
-        let err = try_run_graph(jobs, 4).expect_err("failure must surface");
+        let err = expect_failure(run(jobs, &Exec::new(4)), "failure must surface");
         assert_eq!(err.task, fail_at, "seed {seed}");
         assert!(!err.panicked);
         assert!(err.message.contains("synthetic breakdown"));
@@ -237,8 +245,8 @@ fn work_stealing_fault_injection_does_not_hang() {
         let plan = FaultPlan::new()
             .delay_nth(1, Duration::from_millis(5), |l| l.step == 3)
             .fail_nth(1, |l| l.step == 10);
-        let err = try_run_graph_stealing_with_faults(g, threads, &plan)
-            .expect_err("injected failure must surface");
+        let exec = Exec { policy: Policy::Stealing, faults: Some(&plan), ..Exec::new(threads) };
+        let err = expect_failure(run(g, &exec), "injected failure must surface");
         assert_eq!(err.task, ids[10]);
         assert_eq!(err.label.step, 10);
         assert!(!err.panicked);
